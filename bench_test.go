@@ -26,6 +26,7 @@ import (
 	"repro/internal/dp"
 	"repro/internal/experiment"
 	"repro/internal/graph"
+	"repro/internal/perfguard"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -116,10 +117,10 @@ func BenchmarkF03_MSTMatchingGadgets(b *testing.B) { benchExperiment(b, "F3") }
 // mechanism call per answered query); the BenchmarkOracleDistance
 // sub-benchmarks answer the same query from a materialized release's
 // DistanceOracle. The tree/hierarchy/table oracles must report
-// 0 allocs/op — scripts/check_oracle_allocs.sh enforces that in CI.
+// 0 allocs/op; TestOracleDistanceZeroAlloc holds them to it.
 
-func benchSession(b *testing.B, g *dpgraph.Graph) *dpgraph.PrivateGraph {
-	b.Helper()
+func benchSession(tb testing.TB, g *dpgraph.Graph) *dpgraph.PrivateGraph {
+	tb.Helper()
 	w := make([]float64, g.M())
 	for i := range w {
 		w[i] = 1 + float64(i%7)/7
@@ -127,7 +128,7 @@ func benchSession(b *testing.B, g *dpgraph.Graph) *dpgraph.PrivateGraph {
 	pg, err := dpgraph.New(g, dpgraph.PrivateWeights(w),
 		dpgraph.WithEpsilon(1), dpgraph.WithDeterministicSeed(1))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return pg
 }
@@ -148,84 +149,145 @@ func BenchmarkMechanismDistance(b *testing.B) {
 	}
 }
 
-// benchOracleDistance measures one point query against a materialized
-// oracle.
-func benchOracleDistance(b *testing.B, o dpgraph.DistanceOracle) {
-	b.Helper()
-	n := o.N()
-	if _, err := o.Distance(0, n-1); err != nil { // warm pools before measuring
-		b.Fatal(err)
+// pairStream yields vertex pairs s < t in a scrambled order that visits
+// every unordered pair once before any repeats: a golden-ratio Weyl
+// sequence over the n*n ordered pairs, skipping s >= t. No run shorter
+// than n(n-1)/2 queries asks a pair twice in either orientation, so a
+// result cache never answers and a benchmark times the oracle itself.
+type pairStream struct{ n, m, step, p uint64 }
+
+func newPairStream(n int) *pairStream {
+	m := uint64(n) * uint64(n)
+	step := uint64(float64(m) * 0.6180339887498949)
+	for gcd(step, m) != 1 {
+		step++
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := o.Distance(i%n, (i*13+1)%n); err != nil {
-			b.Fatal(err)
+	return &pairStream{n: uint64(n), m: m, step: step}
+}
+
+func gcd(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+func (ps *pairStream) next() (s, t int) {
+	for {
+		ps.p = (ps.p + ps.step) % ps.m
+		if s, t := ps.p/ps.n, ps.p%ps.n; s < t {
+			return int(s), int(t)
 		}
 	}
 }
 
+// warmOracle answers one query so o's pools are warm before timing,
+// and returns o.N().
+func warmOracle(tb testing.TB, o dpgraph.DistanceOracle) int {
+	tb.Helper()
+	n := o.N()
+	if _, err := o.Distance(0, n-1); err != nil {
+		tb.Fatal(err)
+	}
+	return n
+}
+
+// oracleDistanceOp warms o's pools and returns one point query per
+// call, each on the next pair of a fresh pairStream, for the indexed
+// oracles whose PairCache would otherwise answer repeats.
+func oracleDistanceOp(tb testing.TB, o dpgraph.DistanceOracle) func() {
+	warmOracle(tb, o)
+	ps := newPairStream(o.N())
+	return func() {
+		if _, err := o.Distance(ps.next()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// lookupDistanceOp warms o's pools and returns one point query per
+// call on the pair (i%n, (i*13+1)%n). The lookup oracles (tableOracles)
+// keep no result cache, so repeats time the lookup itself, and the pair
+// costs two divisions where pairStream costs several per draw.
+func lookupDistanceOp(tb testing.TB, o dpgraph.DistanceOracle) func() {
+	n, i := warmOracle(tb, o), 0
+	return func() {
+		if _, err := o.Distance(i%n, (i*13+1)%n); err != nil {
+			tb.Fatal(err)
+		}
+		i++
+	}
+}
+
+// tableOracles build the precomputed-release families whose point
+// queries must not allocate.
+var tableOracles = []struct {
+	name  string
+	build func(tb testing.TB) dpgraph.DistanceOracle
+}{
+	{"tree", func(tb testing.TB) dpgraph.DistanceOracle {
+		rel, err := benchSession(tb, dpgraph.BalancedBinaryTree(1023)).TreeAllPairs()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return rel.Oracle()
+	}},
+	{"hierarchy", func(tb testing.TB) dpgraph.DistanceOracle {
+		rel, err := benchSession(tb, dpgraph.PathGraph(1024)).PathHierarchy(2)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return rel.Oracle()
+	}},
+	{"table", func(tb testing.TB) dpgraph.DistanceOracle {
+		rel, err := benchSession(tb, dpgraph.Grid(16)).AllPairsDistances()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return rel.Oracle()
+	}},
+}
+
+// gridOracle serves a release over Grid(side) through the given query
+// index.
+func gridOracle(tb testing.TB, side int, mode dpgraph.QueryIndexMode) dpgraph.DistanceOracle {
+	tb.Helper()
+	rel, err := benchSession(tb, dpgraph.Grid(side)).Release()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	oracle, err := rel.IndexedOracle(mode)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return oracle
+}
+
 func BenchmarkOracleDistance(b *testing.B) {
-	b.Run("tree", func(b *testing.B) {
-		rel, err := benchSession(b, dpgraph.BalancedBinaryTree(1023)).TreeAllPairs()
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchOracleDistance(b, rel.Oracle())
-	})
-	b.Run("hierarchy", func(b *testing.B) {
-		rel, err := benchSession(b, dpgraph.PathGraph(1024)).PathHierarchy(2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchOracleDistance(b, rel.Oracle())
-	})
-	b.Run("table", func(b *testing.B) {
-		pg := benchSession(b, dpgraph.Grid(16))
-		rel, err := pg.AllPairsDistances()
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchOracleDistance(b, rel.Oracle())
-	})
-	b.Run("synthetic", func(b *testing.B) {
-		rel, err := benchSession(b, dpgraph.Grid(16)).Release()
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchOracleDistance(b, rel.Oracle())
-	})
-	// The indexed-serving group: one ≥100k-edge release (Grid(225) has
-	// 2*225*224 = 100,800 edges), served unindexed (per-query Dijkstra)
-	// versus through the contraction-hierarchy, landmark, and hub-label
-	// indexes. scripts/check_perf_guards.sh asserts the CH oracle is
-	// ≥10x faster than the unindexed one and the hub-label oracle ≥5x
-	// faster than CH on this workload.
+	for _, f := range tableOracles {
+		b.Run(f.name, func(b *testing.B) { perfguard.Bench(b, lookupDistanceOp(b, f.build(b))) })
+	}
+	b.Run("synthetic", func(b *testing.B) { perfguard.Bench(b, oracleDistanceOp(b, gridOracle(b, 16, dpgraph.IndexOff))) })
+	// The indexed-serving group: one >= 100k-edge release (Grid(225)
+	// has 2*225*224 = 100,800 edges) served unindexed (per-query
+	// Dijkstra) versus through the contraction-hierarchy, landmark, and
+	// hub-label indexes. TestIndexedOracleSpeedup holds the CH oracle to
+	// >= 10x the unindexed one.
 	for _, mode := range []dpgraph.QueryIndexMode{dpgraph.IndexOff, dpgraph.IndexCH, dpgraph.IndexALT, dpgraph.IndexHL} {
 		name := "synthetic-100k"
 		if mode != dpgraph.IndexOff {
 			name += "-" + mode.String()
 		}
-		b.Run(name, func(b *testing.B) {
-			rel, err := benchSession(b, dpgraph.Grid(225)).Release()
-			if err != nil {
-				b.Fatal(err)
-			}
-			oracle, err := rel.IndexedOracle(mode)
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchOracleDistance(b, oracle)
-		})
+		b.Run(name, func(b *testing.B) { perfguard.Bench(b, oracleDistanceOp(b, gridOracle(b, 225, mode))) })
 	}
 }
 
 // --- Throughput benchmarks: the vectorized noise layer -----------------
 //
 // BenchmarkFillLaplace measures the block sampler per draw; the
-// crypto-serial and seeded sub-benchmarks must report 0 allocs/op
-// (scripts/check_perf_guards.sh enforces that in CI). The crypto
-// sub-benchmark takes the sharded parallel path when GOMAXPROCS > 1.
+// crypto-serial and seeded samplers must not allocate
+// (TestFillLaplaceZeroAlloc). The crypto sub-benchmark takes the
+// sharded parallel path when GOMAXPROCS > 1.
 
 func BenchmarkFillLaplace(b *testing.B) {
 	sources := []struct {
@@ -249,46 +311,47 @@ func BenchmarkFillLaplace(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelRelease materializes an eps-DP synthetic weight
-// vector for a 1,001,112-edge grid. The serial sub-benchmark pins the
-// single-threaded crypto sampler; the parallel one lets FillLaplace
-// shard across GOMAXPROCS workers, which is how crypto-mode sessions run
-// in production. On one core the two coincide; at GOMAXPROCS >= 8 the
-// guard script asserts a >= 4x wall-clock win.
-func BenchmarkParallelRelease(b *testing.B) {
+// releaseOp returns one eps-DP synthetic weight release over a
+// 1,001,112-edge grid per call, drawing noise from a fresh src().
+func releaseOp(tb testing.TB, src func() dp.NoiseSource) func() {
+	tb.Helper()
 	g := graph.Grid(708) // 2*708*707 = 1,001,112 edges
 	w := make([]float64, g.M())
 	for i := range w {
 		w[i] = 1 + float64(i%7)
 	}
-	run := func(b *testing.B, src func() dp.NoiseSource) {
-		b.Helper()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rel, err := core.ReleaseGraph(g, w, core.Options{Epsilon: 1, Noise: src()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rel.Weights) != g.M() {
-				b.Fatal("short release")
-			}
+	return func() {
+		rel, err := core.ReleaseGraph(g, w, core.Options{Epsilon: 1, Noise: src()})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if len(rel.Weights) != g.M() {
+			tb.Fatal("short release")
 		}
 	}
-	b.Run("serial", func(b *testing.B) { run(b, dp.NewSerialCryptoNoise) })
-	b.Run("parallel", func(b *testing.B) { run(b, dp.NewCryptoNoise) })
+}
+
+// BenchmarkParallelRelease materializes a release per iteration. The
+// serial sub-benchmark pins the single-threaded crypto sampler; the
+// parallel one lets FillLaplace shard across GOMAXPROCS workers, which
+// is how crypto-mode sessions run in production. On one core the two
+// coincide; at GOMAXPROCS >= 8 TestParallelReleaseSpeedup asserts a
+// >= 4x wall-clock win.
+func BenchmarkParallelRelease(b *testing.B) {
+	b.Run("serial", func(b *testing.B) { perfguard.Bench(b, releaseOp(b, dp.NewSerialCryptoNoise)) })
+	b.Run("parallel", func(b *testing.B) { perfguard.Bench(b, releaseOp(b, dp.NewCryptoNoise)) })
 }
 
 // --- Snapshot benchmarks: sealed-release restore ------------------------
-//
-// BenchmarkSnapshotRestore compares the two ways a replica can start
-// serving the same ≥100k-edge indexed release: re-materializing it from
-// the private weights (budget charge + noise + contraction hierarchy)
-// versus unsealing a snapshot artifact (decode + index rehydration,
-// zero budget). Both sub-benchmarks end with one answered query, so
-// ns/op is the restore-to-first-answer latency.
-// scripts/check_perf_guards.sh asserts unseal is ≥50x faster.
-func BenchmarkSnapshotRestore(b *testing.B) {
+
+// restoreOps returns the two ways a replica can start serving the same
+// >= 100k-edge CH-indexed release: re-materializing it from the private
+// weights (budget charge + noise + contraction hierarchy) versus
+// unsealing a snapshot artifact (decode + index rehydration, zero
+// budget). Both end with one answered query, so their cost is the
+// restore-to-first-answer latency. sealed is the artifact size.
+func restoreOps(tb testing.TB) (rematerialize, unseal func(), sealed int) {
+	tb.Helper()
 	g := dpgraph.Grid(225) // 2*225*224 = 100,800 edges
 	w := make([]float64, g.M())
 	for i := range w {
@@ -298,47 +361,51 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		pg, err := dpgraph.New(g, dpgraph.PrivateWeights(w),
 			dpgraph.WithEpsilon(1), dpgraph.WithDeterministicSeed(1))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		rel, err := pg.Release()
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		oracle, err := rel.IndexedOracle(dpgraph.IndexCH)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		return oracle, rel
 	}
 	firstQuery := func(o dpgraph.DistanceOracle) {
 		if _, err := o.Distance(0, g.N()-1); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	b.Run("rematerialize", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			oracle, _ := materialize()
-			firstQuery(oracle)
+	oracle, rel := materialize()
+	var buf bytes.Buffer
+	if err := dpgraph.Seal(&buf, oracle, rel); err != nil {
+		tb.Fatal(err)
+	}
+	data := buf.Bytes()
+	rematerialize = func() {
+		oracle, _ := materialize()
+		firstQuery(oracle)
+	}
+	unseal = func() {
+		sealed, err := dpgraph.Unseal(bytes.NewReader(data))
+		if err != nil {
+			tb.Fatal(err)
 		}
-	})
+		firstQuery(sealed.Oracle())
+	}
+	return rematerialize, unseal, len(data)
+}
+
+// BenchmarkSnapshotRestore times both restoreOps paths;
+// TestSnapshotRestoreSpeedup asserts unseal is >= 50x faster.
+func BenchmarkSnapshotRestore(b *testing.B) {
+	rematerialize, unseal, sealed := restoreOps(b)
+	b.Run("rematerialize", func(b *testing.B) { perfguard.Bench(b, rematerialize) })
 	b.Run("unseal", func(b *testing.B) {
-		oracle, rel := materialize()
-		var buf bytes.Buffer
-		if err := dpgraph.Seal(&buf, oracle, rel); err != nil {
-			b.Fatal(err)
-		}
-		data := buf.Bytes()
-		b.SetBytes(int64(len(data)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sealed, err := dpgraph.Unseal(bytes.NewReader(data))
-			if err != nil {
-				b.Fatal(err)
-			}
-			firstQuery(sealed.Oracle())
-		}
+		b.SetBytes(int64(sealed))
+		perfguard.Bench(b, unseal)
 	})
 }
 
@@ -347,22 +414,10 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 func BenchmarkOracleBatch(b *testing.B) {
 	families := []struct {
 		name   string
-		oracle func(b *testing.B) dpgraph.DistanceOracle
+		oracle func(tb testing.TB) dpgraph.DistanceOracle
 	}{
-		{"tree", func(b *testing.B) dpgraph.DistanceOracle {
-			rel, err := benchSession(b, dpgraph.BalancedBinaryTree(1023)).TreeAllPairs()
-			if err != nil {
-				b.Fatal(err)
-			}
-			return rel.Oracle()
-		}},
-		{"synthetic", func(b *testing.B) dpgraph.DistanceOracle {
-			rel, err := benchSession(b, dpgraph.Grid(16)).Release()
-			if err != nil {
-				b.Fatal(err)
-			}
-			return rel.Oracle()
-		}},
+		{"tree", tableOracles[0].build},
+		{"synthetic", func(tb testing.TB) dpgraph.DistanceOracle { return gridOracle(tb, 16, dpgraph.IndexOff) }},
 	}
 	for _, f := range families {
 		b.Run(f.name, func(b *testing.B) {

@@ -30,48 +30,120 @@ import (
 // streaming requests instead of one HTTP round trip per query.
 func runBenchServe(out *os.File, args []string) error {
 	fs := flag.NewFlagSet("dpgraph bench-serve", flag.ContinueOnError)
-	var (
-		baseURL = fs.String("url", "http://127.0.0.1:8080", "base URL of a running dpgraph serve")
-		release = fs.String("release", "", "release name to query (default: fan across every ready release)")
-		n       = fs.Int("n", 10000, "total requests to send")
-		c       = fs.Int("c", 8, "concurrent client workers")
-		batch   = fs.Int("batch", 1, "pairs per request (1: point endpoint, >1: batch endpoint)")
-		seed    = fs.Int64("seed", 1, "pair-generation seed")
-		source  = fs.Int("source", -1, "query distinct targets from this fixed source vertex (-1: random pairs)")
-		stream  = fs.Bool("stream", false, "pipeline point queries over the NDJSON distances:stream endpoint")
-		timeout = fs.Duration("timeout", 0, "per-request deadline; timed-out requests count as failures (0: none)")
-		maxErr  = fs.Float64("max-error-rate", 0, "error budget: exit nonzero only when more than this fraction of requests fail (0: any failure fails the run)")
-	)
+	var cfg benchConfig
+	fs.StringVar(&cfg.url, "url", "http://127.0.0.1:8080", "base URL of a running dpgraph serve")
+	fs.StringVar(&cfg.release, "release", "", "release name to query (default: fan across every ready release)")
+	fs.IntVar(&cfg.n, "n", 10000, "total requests to send")
+	fs.IntVar(&cfg.c, "c", 8, "concurrent client workers")
+	fs.IntVar(&cfg.batch, "batch", 1, "pairs per request (1: point endpoint, >1: batch endpoint)")
+	fs.Int64Var(&cfg.seed, "seed", 1, "pair-generation seed")
+	fs.IntVar(&cfg.source, "source", -1, "query distinct targets from this fixed source vertex (-1: random pairs)")
+	fs.BoolVar(&cfg.stream, "stream", false, "pipeline point queries over the NDJSON distances:stream endpoint")
+	fs.DurationVar(&cfg.timeout, "timeout", 0, "per-request deadline; timed-out requests count as failures (0: none)")
+	maxErr := fs.Float64("max-error-rate", 0, "error budget: exit nonzero only when more than this fraction of requests fail (0: any failure fails the run)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("bench-serve takes no positional arguments, got %q", fs.Args())
 	}
-	if *n < 1 || *c < 1 || *batch < 1 {
+	if cfg.n < 1 || cfg.c < 1 || cfg.batch < 1 {
 		return fmt.Errorf("-n, -c, and -batch must be >= 1")
 	}
-	if *stream && *batch != 1 {
+	if cfg.stream && cfg.batch != 1 {
 		return fmt.Errorf("-stream pipelines point queries; drop -batch (each line is one pair)")
 	}
-	if *stream && *timeout > 0 {
+	if cfg.stream && cfg.timeout > 0 {
 		return fmt.Errorf("-timeout bounds one HTTP request; a pipelined stream is one long request, drop -timeout")
 	}
-	if *timeout < 0 {
-		return fmt.Errorf("-timeout must be >= 0, got %v", *timeout)
+	if cfg.timeout < 0 {
+		return fmt.Errorf("-timeout must be >= 0, got %v", cfg.timeout)
 	}
 	if *maxErr < 0 || *maxErr >= 1 {
 		return fmt.Errorf("-max-error-rate must be in [0, 1), got %v", *maxErr)
 	}
 
-	targets, err := benchReleases(*baseURL, *release)
+	res, err := benchServe(cfg)
 	if err != nil {
 		return err
 	}
-	if *source >= 0 {
+	var names []string
+	for _, tgt := range res.targets {
+		names = append(names, tgt.label())
+	}
+	if cfg.stream {
+		fmt.Fprintf(out, "bench-serve: %d ok / %d failed stream queries against release(s) %s in %.2fs (%d streams)\n",
+			res.ok, res.failed, strings.Join(names, " "), res.elapsed.Seconds(), cfg.c)
+		fmt.Fprintf(out, "throughput: %.1f pairs/s pipelined\n", res.perSecond())
+		fmt.Fprintf(out, "connections: %d dialed, %d reused\n", res.dialed, res.reused)
+		return benchErrorBudget(out, "stream queries", res.failed, int64(cfg.n), *maxErr, res.lastErr)
+	}
+	q := func(p float64) time.Duration { return quantile(res.all, p) }
+	fmt.Fprintf(out, "bench-serve: %d ok / %d failed requests against release(s) %s in %.2fs (%d workers, batch %d)\n",
+		res.ok, res.failed, strings.Join(names, " "), res.elapsed.Seconds(), cfg.c, cfg.batch)
+	fmt.Fprintf(out, "throughput: %.1f requests/s, %.1f pairs/s\n", res.perSecond(), res.perSecond()*float64(cfg.batch))
+	fmt.Fprintf(out, "latency: p50 %s  p90 %s  p99 %s\n", q(0.50), q(0.90), q(0.99))
+	fmt.Fprintf(out, "connections: %d dialed, %d reused\n", res.dialed, res.reused)
+	if len(res.targets) > 1 {
+		for tgt, l := range res.latencies {
+			if len(l) == 0 {
+				continue
+			}
+			fmt.Fprintf(out, "  %s: %d requests, p50 %s  p90 %s  p99 %s\n",
+				res.targets[tgt].label(), len(l), quantile(l, 0.50), quantile(l, 0.90), quantile(l, 0.99))
+		}
+	}
+	return benchErrorBudget(out, "requests", res.failed, int64(cfg.n), *maxErr, res.lastErr)
+}
+
+// benchConfig is one bench-serve run: the daemon and release(s) to
+// load, and the shape of the load.
+type benchConfig struct {
+	url     string
+	release string // empty: fan across every ready release
+	n, c    int
+	batch   int // pairs per request; 0 or 1 is the point endpoint
+	seed    int64
+	source  int // fixed source vertex; -1 draws random pairs
+	stream  bool
+	timeout time.Duration
+}
+
+// benchResult is what one bench-serve run measured. ok and failed
+// count requests, or single queries on a stream run.
+type benchResult struct {
+	targets    []benchRelease
+	ok, failed int64
+	lastErr    any
+	elapsed    time.Duration
+	// all holds every answered request's latency, and latencies the
+	// same split per target release, each sorted ascending; a stream
+	// run records none.
+	all       []time.Duration
+	latencies [][]time.Duration
+	// dialed and reused count connections opened and kept alive.
+	dialed, reused int64
+}
+
+// perSecond is the answered requests (stream: queries) per second.
+func (r benchResult) perSecond() float64 { return float64(r.ok) / r.elapsed.Seconds() }
+
+// quantile reads the p-quantile off sorted latencies.
+func quantile(l []time.Duration, p float64) time.Duration { return l[int(p*float64(len(l)-1))] }
+
+// benchServe runs one load against a serving daemon or coordinator and
+// returns what it measured. It fails only when the daemon cannot be
+// benched at all: no matching release, or every request failing.
+func benchServe(cfg benchConfig) (benchResult, error) {
+	cfg.batch = max(cfg.batch, 1)
+	targets, err := benchReleases(cfg.url, cfg.release)
+	if err != nil {
+		return benchResult{}, err
+	}
+	if cfg.source >= 0 {
 		for _, tgt := range targets {
-			if *source >= tgt.n {
-				return fmt.Errorf("-source %d is out of range for release %s (n=%d)", *source, tgt.name, tgt.n)
+			if cfg.source >= tgt.n {
+				return benchResult{}, fmt.Errorf("-source %d is out of range for release %s (n=%d)", cfg.source, tgt.name, tgt.n)
 			}
 		}
 	}
@@ -82,14 +154,15 @@ func runBenchServe(out *os.File, args []string) error {
 	// the daemon. Size the pools to the worker count so each worker owns
 	// a persistent connection, and count dials vs reuses to prove it.
 	transport := &http.Transport{
-		MaxIdleConns:        *c + 16,
-		MaxIdleConnsPerHost: *c,
-		MaxConnsPerHost:     *c,
+		MaxIdleConns:        cfg.c + 16,
+		MaxIdleConnsPerHost: cfg.c,
+		MaxConnsPerHost:     cfg.c,
 		IdleConnTimeout:     90 * time.Second,
 	}
+	defer transport.CloseIdleConnections()
 	// Per-request deadline via the client so it covers dial, headers,
 	// and body; a request that exceeds it surfaces as a failure.
-	client := &http.Client{Transport: transport, Timeout: *timeout}
+	client := &http.Client{Transport: transport, Timeout: cfg.timeout}
 	var dialed, reused atomic.Int64
 	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
 		GotConn: func(info httptrace.GotConnInfo) {
@@ -100,39 +173,37 @@ func runBenchServe(out *os.File, args []string) error {
 			}
 		},
 	})
-
-	if *stream {
-		return runBenchServeStream(out, ctx, client, *baseURL, targets, *n, *c, *seed, *source, *maxErr, &dialed, &reused)
+	res := benchResult{targets: targets}
+	if cfg.stream {
+		benchStream(ctx, client, cfg, &res)
+	} else {
+		benchRequests(ctx, client, cfg, &res)
 	}
+	res.dialed, res.reused = dialed.Load(), reused.Load()
+	if res.ok == 0 {
+		return res, fmt.Errorf("all %d requests failed (last error: %v)", cfg.n, res.lastErr)
+	}
+	return res, nil
+}
 
+// benchRequests fires cfg.n point or batch requests, one HTTP round
+// trip each, from cfg.c workers.
+func benchRequests(ctx context.Context, client *http.Client, cfg benchConfig, res *benchResult) {
+	targets := res.targets
 	// Pregenerate a shared pool of request targets (and batch bodies),
 	// spreading pool slots across the benched releases, so workers spend
 	// their time on requests, not on formatting. Fixed-source runs build
 	// each request on the fly instead: their point is a fresh target
 	// every time (repeats would hit the daemon's result cache and
 	// measure memoization, not serving).
-	rng := rand.New(rand.NewSource(*seed))
+	rng := rand.New(rand.NewSource(cfg.seed))
 	const pool = 1024
 	urls := make([]string, pool)
 	bodies := make([]string, pool)
-	if *source < 0 {
+	if cfg.source < 0 {
 		for i := range urls {
 			tgt := targets[i%len(targets)]
-			if *batch == 1 {
-				urls[i] = fmt.Sprintf("%s/v1/releases/%s/distance?s=%d&t=%d", *baseURL, tgt.name, rng.Intn(tgt.n), rng.Intn(tgt.n))
-				continue
-			}
-			urls[i] = fmt.Sprintf("%s/v1/releases/%s/distances", *baseURL, tgt.name)
-			var b strings.Builder
-			b.WriteString("[")
-			for k := 0; k < *batch; k++ {
-				if k > 0 {
-					b.WriteString(",")
-				}
-				fmt.Fprintf(&b, "[%d,%d]", rng.Intn(tgt.n), rng.Intn(tgt.n))
-			}
-			b.WriteString("]")
-			bodies[i] = b.String()
+			urls[i], bodies[i] = benchRequest(cfg, tgt, func() (int, int) { return rng.Intn(tgt.n), rng.Intn(tgt.n) })
 		}
 	}
 
@@ -145,38 +216,27 @@ func runBenchServe(out *os.File, args []string) error {
 	// Latencies are kept per (worker, release) so the report can break
 	// results down by release — and therefore by index mode — instead of
 	// folding differently indexed releases into one number.
-	latencies := make([][][]time.Duration, *c)
+	latencies := make([][][]time.Duration, cfg.c)
 	start := time.Now()
-	for wk := 0; wk < *c; wk++ {
+	for wk := 0; wk < cfg.c; wk++ {
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
 			lat := make([][]time.Duration, len(targets))
 			for {
 				i := next.Add(1) - 1
-				if i >= int64(*n) {
+				if i >= int64(cfg.n) {
 					break
 				}
 				ti := int(i % int64(len(targets)))
 				tgt := targets[ti]
 				var reqURL, body string
-				if *source >= 0 {
-					if *batch == 1 {
-						reqURL = fmt.Sprintf("%s/v1/releases/%s/distance?s=%d&t=%d",
-							*baseURL, tgt.name, *source, benchTargetVertex(*source, tgt.n, i))
-					} else {
-						reqURL = fmt.Sprintf("%s/v1/releases/%s/distances", *baseURL, tgt.name)
-						var b strings.Builder
-						b.WriteString("[")
-						for k := 0; k < *batch; k++ {
-							if k > 0 {
-								b.WriteString(",")
-							}
-							fmt.Fprintf(&b, "[%d,%d]", *source, benchTargetVertex(*source, tgt.n, i*int64(*batch)+int64(k)))
-						}
-						b.WriteString("]")
-						body = b.String()
-					}
+				if cfg.source >= 0 {
+					k := i * int64(cfg.batch)
+					reqURL, body = benchRequest(cfg, tgt, func() (int, int) {
+						k++
+						return cfg.source, benchTargetVertex(cfg.source, tgt.n, k-1)
+					})
 				} else {
 					reqURL = urls[i%pool]
 					body = bodies[i%pool]
@@ -185,7 +245,7 @@ func runBenchServe(out *os.File, args []string) error {
 				t0 := time.Now()
 				var resp *http.Response
 				var err error
-				if *batch == 1 {
+				if cfg.batch == 1 {
 					var req *http.Request
 					if req, err = http.NewRequestWithContext(ctx, http.MethodGet, reqURL, nil); err == nil {
 						resp, err = client.Do(req)
@@ -215,51 +275,48 @@ func runBenchServe(out *os.File, args []string) error {
 		}(wk)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
+	res.elapsed = time.Since(start)
 
-	var all []time.Duration
-	perRelease := make([][]time.Duration, len(targets))
+	res.latencies = make([][]time.Duration, len(targets))
 	for _, lat := range latencies {
 		for tgt, l := range lat {
-			perRelease[tgt] = append(perRelease[tgt], l...)
-			all = append(all, l...)
+			res.latencies[tgt] = append(res.latencies[tgt], l...)
+			res.all = append(res.all, l...)
 		}
 	}
-	if len(all) == 0 {
-		return fmt.Errorf("all %d requests failed (last error: %v)", *n, lastError.Load())
+	sortDurations(res.all)
+	for _, l := range res.latencies {
+		sortDurations(l)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	quantile := func(l []time.Duration, p float64) time.Duration { return l[int(p*float64(len(l)-1))] }
-	q := func(p float64) time.Duration { return quantile(all, p) }
+	res.ok, res.failed, res.lastErr = int64(len(res.all)), failures.Load(), lastError.Load()
+}
 
-	var names []string
-	for _, tgt := range targets {
-		names = append(names, tgt.label())
+func sortDurations(l []time.Duration) { sort.Slice(l, func(i, j int) bool { return l[i] < l[j] }) }
+
+// benchRequest formats one request to tgt: a point GET when cfg.batch
+// is 1, else a batch POST body of cfg.batch pairs, each drawn from pair.
+func benchRequest(cfg benchConfig, tgt benchRelease, pair func() (int, int)) (reqURL, body string) {
+	if cfg.batch == 1 {
+		s, t := pair()
+		return fmt.Sprintf("%s/v1/releases/%s/distance?s=%d&t=%d", cfg.url, tgt.name, s, t), ""
 	}
-	pairs := int64(len(all)) * int64(*batch)
-	fmt.Fprintf(out, "bench-serve: %d ok / %d failed requests against release(s) %s in %.2fs (%d workers, batch %d)\n",
-		len(all), failures.Load(), strings.Join(names, " "), elapsed.Seconds(), *c, *batch)
-	fmt.Fprintf(out, "throughput: %.1f requests/s, %.1f pairs/s\n",
-		float64(len(all))/elapsed.Seconds(), float64(pairs)/elapsed.Seconds())
-	fmt.Fprintf(out, "latency: p50 %s  p90 %s  p99 %s\n", q(0.50), q(0.90), q(0.99))
-	fmt.Fprintf(out, "connections: %d dialed, %d reused\n", dialed.Load(), reused.Load())
-	if len(targets) > 1 {
-		for tgt, l := range perRelease {
-			if len(l) == 0 {
-				continue
-			}
-			sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
-			fmt.Fprintf(out, "  %s: %d requests, p50 %s  p90 %s  p99 %s\n",
-				targets[tgt].label(), len(l), quantile(l, 0.50), quantile(l, 0.90), quantile(l, 0.99))
+	var b strings.Builder
+	b.WriteString("[")
+	for k := 0; k < cfg.batch; k++ {
+		if k > 0 {
+			b.WriteString(",")
 		}
+		s, t := pair()
+		fmt.Fprintf(&b, "[%d,%d]", s, t)
 	}
-	return benchErrorBudget(out, "requests", failures.Load(), int64(*n), *maxErr, lastError.Load())
+	b.WriteString("]")
+	return fmt.Sprintf("%s/v1/releases/%s/distances", cfg.url, tgt.name), b.String()
 }
 
 // benchErrorBudget applies the -max-error-rate error budget: a failure
 // rate within the budget reports and passes, anything above it (or any
 // failure with a zero budget) fails the run.
-func benchErrorBudget(out *os.File, what string, failed, total int64, budget float64, lastErr any) error {
+func benchErrorBudget(out io.Writer, what string, failed, total int64, budget float64, lastErr any) error {
 	if failed == 0 {
 		return nil
 	}
@@ -278,12 +335,13 @@ func benchTargetVertex(src, n int, i int64) int {
 	return (src + 1 + int(i%int64(n-1))) % n
 }
 
-// runBenchServeStream drives the pipelined NDJSON endpoint: each of c
+// benchStream drives the pipelined NDJSON endpoint: each of cfg.c
 // workers opens one distances:stream request and pours its share of the
-// n queries down it while reading answers back, so the wire carries no
-// per-query HTTP overhead. Throughput is answers per second across all
+// cfg.n queries down it while reading answers back, so the wire carries
+// no per-query HTTP overhead. res counts answered queries across all
 // streams.
-func runBenchServeStream(out *os.File, ctx context.Context, client *http.Client, baseURL string, targets []benchRelease, n, c int, seed int64, source int, maxErr float64, dialed, reused *atomic.Int64) error {
+func benchStream(ctx context.Context, client *http.Client, cfg benchConfig, res *benchResult) {
+	targets, n, c, seed, source := res.targets, cfg.n, cfg.c, cfg.seed, cfg.source
 	var (
 		answered  atomic.Int64
 		failures  atomic.Int64
@@ -304,7 +362,7 @@ func runBenchServeStream(out *os.File, ctx context.Context, client *http.Client,
 			defer wg.Done()
 			tgt := targets[wk%len(targets)]
 			pr, pw := io.Pipe()
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/releases/"+tgt.name+"/distances:stream", pr)
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, cfg.url+"/v1/releases/"+tgt.name+"/distances:stream", pr)
 			if err != nil {
 				failures.Add(int64(quota))
 				lastError.Store(err.Error())
@@ -378,20 +436,8 @@ func runBenchServeStream(out *os.File, ctx context.Context, client *http.Client,
 		}(wk, quota)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	ok := answered.Load()
-	if ok == 0 {
-		return fmt.Errorf("all %d stream queries failed (last error: %v)", n, lastError.Load())
-	}
-	var names []string
-	for _, tgt := range targets {
-		names = append(names, tgt.label())
-	}
-	fmt.Fprintf(out, "bench-serve: %d ok / %d failed stream queries against release(s) %s in %.2fs (%d streams)\n",
-		ok, failures.Load(), strings.Join(names, " "), elapsed.Seconds(), c)
-	fmt.Fprintf(out, "throughput: %.1f pairs/s pipelined\n", float64(ok)/elapsed.Seconds())
-	fmt.Fprintf(out, "connections: %d dialed, %d reused\n", dialed.Load(), reused.Load())
-	return benchErrorBudget(out, "stream queries", failures.Load(), int64(n), maxErr, lastError.Load())
+	res.elapsed = time.Since(start)
+	res.ok, res.failed, res.lastErr = answered.Load(), failures.Load(), lastError.Load()
 }
 
 // benchRelease is one release the generator fires at: its name, the

@@ -18,144 +18,182 @@ import (
 // runFleet is the multi-process scaling and fault-tolerance bench: it
 // seals one seeded release from -graph, boots -n real `dpgraph serve`
 // replica processes from that snapshot plus one `dpgraph route`
-// coordinator process, then drives `dpgraph bench-serve` through the
-// coordinator at every scale from 1 replica to all -n (replicas join
-// the pool live over POST /v1/replicas), reporting aggregate
-// throughput per scale — the numbers behind EXPERIMENTS.md E25. Every
-// replica runs under GOMAXPROCS=-procs so scaling is visible even on
-// a small machine where one unrestricted replica would saturate every
-// core by itself.
+// coordinator process, then benches through the coordinator at every
+// scale from 1 replica to all -n (replicas join the pool live over
+// POST /v1/replicas), reporting aggregate throughput per scale — the
+// numbers behind EXPERIMENTS.md E25. Every replica runs under
+// GOMAXPROCS=-procs so scaling is visible even on a small machine where
+// one unrestricted replica would saturate every core by itself.
 func runFleet(out *os.File, args []string) error {
 	fs := flag.NewFlagSet("dpgraph fleet", flag.ContinueOnError)
-	var (
-		graphPath = fs.String("graph", "", "graph file the benched release is sealed from (required)")
-		nReplicas = fs.Int("n", 3, "replica processes to boot")
-		procs     = fs.Int("procs", 1, "GOMAXPROCS per replica (0: unrestricted)")
-		requests  = fs.Int("requests", 20000, "bench requests per scale")
-		workers   = fs.Int("c", 16, "concurrent bench workers")
-		indexMode = fs.String("index", "off", "query index sealed into the benched release: off, auto, ch, alt, hl")
-		seed      = fs.Int64("seed", 7, "deterministic release seed (replicas must serve identical values)")
-		probeIv   = fs.Duration("probe-interval", 250*time.Millisecond, "coordinator health-probe period")
-		timeout   = fs.Duration("timeout", 5*time.Second, "per-request bench deadline")
-		keepDir   = fs.String("dir", "", "working directory for the snapshot and logs (default: a temp dir, removed afterwards)")
-	)
+	var cfg fleetConfig
+	fs.StringVar(&cfg.graphPath, "graph", "", "graph file the benched release is sealed from (required)")
+	fs.IntVar(&cfg.replicas, "n", 3, "replica processes to boot")
+	fs.IntVar(&cfg.procs, "procs", 1, "GOMAXPROCS per replica (0: unrestricted)")
+	fs.IntVar(&cfg.requests, "requests", 20000, "bench requests per scale")
+	fs.IntVar(&cfg.workers, "c", 16, "concurrent bench workers")
+	fs.StringVar(&cfg.index, "index", "off", "query index sealed into the benched release: off, auto, ch, alt, hl")
+	fs.Int64Var(&cfg.seed, "seed", 7, "deterministic release seed (replicas must serve identical values)")
+	fs.DurationVar(&cfg.probe, "probe-interval", 250*time.Millisecond, "coordinator health-probe period")
+	fs.DurationVar(&cfg.timeout, "timeout", 5*time.Second, "per-request bench deadline")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("fleet takes no positional arguments, got %q", fs.Args())
 	}
-	if *graphPath == "" {
+	if cfg.graphPath == "" {
 		return fmt.Errorf("fleet needs -graph FILE to seal the benched release from")
 	}
-	if *nReplicas < 1 {
-		return fmt.Errorf("-n must be >= 1, got %d", *nReplicas)
+	if cfg.replicas < 1 {
+		return fmt.Errorf("-n must be >= 1, got %d", cfg.replicas)
 	}
-	if *procs < 0 {
-		return fmt.Errorf("-procs must be >= 0, got %d", *procs)
+	if cfg.procs < 0 {
+		return fmt.Errorf("-procs must be >= 0, got %d", cfg.procs)
 	}
-	if *requests < 1 || *workers < 1 {
+	if cfg.requests < 1 || cfg.workers < 1 {
 		return fmt.Errorf("-requests and -c must be >= 1")
 	}
-
 	exe, err := os.Executable()
 	if err != nil {
 		return fmt.Errorf("locating own binary: %w", err)
 	}
-	dir := *keepDir
-	if dir == "" {
-		dir, err = os.MkdirTemp("", "dpgraph-fleet-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
+	qps, err := fleetRun(out, exe, cfg)
+	if err != nil {
 		return err
 	}
+	fmt.Fprintf(out, "\nfleet scaling (%d requests x %d workers per scale, release seed %d):\n", cfg.requests, cfg.workers, cfg.seed)
+	fmt.Fprintf(out, "%-10s %14s %10s\n", "replicas", "aggregate qps", "vs 1")
+	for i, q := range qps {
+		fmt.Fprintf(out, "%-10d %14.1f %9.2fx\n", i+1, q, q/qps[0])
+	}
+	return nil
+}
+
+// fleetConfig is one fleet run.
+type fleetConfig struct {
+	graphPath string
+	replicas  int
+	procs     int // GOMAXPROCS per replica; 0 leaves it unrestricted
+	requests  int // bench requests per scale
+	workers   int
+	index     string
+	seed      int64
+	probe     time.Duration
+	timeout   time.Duration
+}
+
+// fleetRun runs the fleet bench with exe as the dpgraph binary the
+// replicas and the coordinator run as, logging progress to out. It
+// returns the aggregate requests/s at each scale: qps[i] is i+1
+// replicas.
+func fleetRun(out io.Writer, exe string, cfg fleetConfig) (qps []float64, err error) {
+	dir, err := os.MkdirTemp("", "dpgraph-fleet-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
 
 	// Seal the benched release once, in-process: every replica restores
 	// the same artifact, so any of them answers any query identically.
 	snapPath := filepath.Join(dir, "bench.dpsnap")
-	if err := fleetSeal(*graphPath, snapPath, *indexMode, *seed); err != nil {
-		return err
+	if err := fleetSeal(cfg.graphPath, snapPath, cfg.index, cfg.seed); err != nil {
+		return nil, err
 	}
-	fmt.Fprintf(out, "fleet: sealed benched release to %s (seed %d, index %s)\n", snapPath, *seed, orNone(*indexMode))
+	fmt.Fprintf(out, "fleet: sealed benched release to %s (seed %d, index %s)\n", snapPath, cfg.seed, orNone(cfg.index))
 
 	// Boot all N replicas up front; they join the coordinator one scale
 	// at a time.
-	procsEnv := ""
-	if *procs > 0 {
-		procsEnv = fmt.Sprintf("GOMAXPROCS=%d", *procs)
+	replicas, err := startFleetReplicas(exe, cfg.graphPath, dir, cfg.replicas, cfg.procs)
+	defer killFleetProcs(replicas)
+	if err != nil {
+		return nil, err
 	}
-	replicas := make([]*fleetProc, 0, *nReplicas)
-	defer func() {
-		for _, p := range replicas {
-			p.kill()
+	fmt.Fprintf(out, "fleet: %d replica(s) ready (GOMAXPROCS=%d each)\n", len(replicas), cfg.procs)
+
+	coord, err := startFleetCoordinator(exe, cfg.probe, "http://"+replicas[0].addr)
+	if err != nil {
+		return nil, err
+	}
+	defer coord.kill()
+	coordURL := "http://" + coord.addr
+	fmt.Fprintf(out, "fleet: coordinator on %s (probe interval %v)\n", coordURL, cfg.probe)
+
+	// Bench every scale; replica i joins the pool right before scale
+	// i+1 runs, exercising live registration on the way.
+	for scale := 1; scale <= cfg.replicas; scale++ {
+		if scale > 1 {
+			if err := fleetRegister(coordURL, "http://"+replicas[scale-1].addr); err != nil {
+				return nil, fmt.Errorf("registering replica %d: %w", scale-1, err)
+			}
 		}
-	}()
-	for i := 0; i < *nReplicas; i++ {
+		res, err := benchServe(benchConfig{url: coordURL, release: "bench", n: cfg.requests, c: cfg.workers, seed: 1, source: -1, timeout: cfg.timeout})
+		if err == nil && res.failed > 0 {
+			err = fmt.Errorf("%d of %d requests failed (last error: %v)", res.failed, cfg.requests, res.lastErr)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("bench at scale %d: %w", scale, err)
+		}
+		qps = append(qps, res.perSecond())
+		fmt.Fprintf(out, "fleet: scale %d -> %.1f requests/s\n", scale, res.perSecond())
+	}
+	return qps, nil
+}
+
+// startFleetReplicas boots n `dpgraph serve` replicas restoring every
+// snapshot in dir, each under GOMAXPROCS=procs when procs > 0, and
+// waits for all of them to become ready. The replicas it started are
+// returned even on error, for the caller to kill.
+func startFleetReplicas(exe, graphPath, dir string, n, procs int) ([]*fleetProc, error) {
+	procsEnv := ""
+	if procs > 0 {
+		procsEnv = fmt.Sprintf("GOMAXPROCS=%d", procs)
+	}
+	var replicas []*fleetProc
+	for i := 0; i < n; i++ {
 		p, err := startFleetProc(exe, []string{
-			"-graph", *graphPath, "serve",
+			"-graph", graphPath, "serve",
 			"-addr", "127.0.0.1:0",
 			"-snapshot-dir", dir,
 			"-drain-grace", "0s",
 		}, procsEnv)
 		if err != nil {
-			return fmt.Errorf("booting replica %d: %w", i, err)
+			return replicas, fmt.Errorf("booting replica %d: %w", i, err)
 		}
 		replicas = append(replicas, p)
 	}
 	for i, p := range replicas {
 		if err := fleetWaitReady("http://"+p.addr, 10*time.Second); err != nil {
-			return fmt.Errorf("replica %d (%s) never became ready: %w", i, p.addr, err)
+			return replicas, fmt.Errorf("replica %d (%s) never became ready: %w", i, p.addr, err)
 		}
 	}
-	fmt.Fprintf(out, "fleet: %d replica(s) ready (GOMAXPROCS=%d each)\n", len(replicas), *procs)
+	return replicas, nil
+}
 
+// startFleetCoordinator boots a `dpgraph route` coordinator over the
+// given comma-separated replica URLs and waits for it to become ready.
+func startFleetCoordinator(exe string, probe time.Duration, replicaURLs string) (*fleetProc, error) {
 	coord, err := startFleetProc(exe, []string{
 		"route",
 		"-addr", "127.0.0.1:0",
-		"-replicas", "http://" + replicas[0].addr,
-		"-probe-interval", probeIv.String(),
+		"-replicas", replicaURLs,
+		"-probe-interval", probe.String(),
 		"-drain-grace", "0s",
 	}, "")
 	if err != nil {
-		return fmt.Errorf("booting coordinator: %w", err)
+		return nil, fmt.Errorf("booting coordinator: %w", err)
 	}
-	defer coord.kill()
-	coordURL := "http://" + coord.addr
-	if err := fleetWaitReady(coordURL, 10*time.Second); err != nil {
-		return fmt.Errorf("coordinator never became ready: %w", err)
+	if err := fleetWaitReady("http://"+coord.addr, 10*time.Second); err != nil {
+		coord.kill()
+		return nil, fmt.Errorf("coordinator never became ready: %w", err)
 	}
-	fmt.Fprintf(out, "fleet: coordinator on %s (probe interval %v)\n", coordURL, *probeIv)
+	return coord, nil
+}
 
-	// Bench every scale; replica i joins the pool right before scale
-	// i+1 runs, exercising live registration on the way.
-	type scaleResult struct {
-		scale int
-		qps   float64
+func killFleetProcs(procs []*fleetProc) {
+	for _, p := range procs {
+		p.kill()
 	}
-	results := make([]scaleResult, 0, *nReplicas)
-	for scale := 1; scale <= *nReplicas; scale++ {
-		if scale > 1 {
-			if err := fleetRegister(coordURL, "http://"+replicas[scale-1].addr); err != nil {
-				return fmt.Errorf("registering replica %d: %w", scale-1, err)
-			}
-		}
-		qps, benchOut, err := fleetBench(exe, coordURL, *requests, *workers, *timeout)
-		if err != nil {
-			return fmt.Errorf("bench at scale %d: %w\n%s", scale, err, benchOut)
-		}
-		results = append(results, scaleResult{scale, qps})
-		fmt.Fprintf(out, "fleet: scale %d -> %.1f requests/s\n", scale, qps)
-	}
-
-	fmt.Fprintf(out, "\nfleet scaling (%d requests x %d workers per scale, release seed %d):\n", *requests, *workers, *seed)
-	fmt.Fprintf(out, "%-10s %14s %10s\n", "replicas", "aggregate qps", "vs 1")
-	for _, r := range results {
-		fmt.Fprintf(out, "%-10d %14.1f %9.2fx\n", r.scale, r.qps, r.qps/results[0].qps)
-	}
-	return nil
 }
 
 // fleetSeal materializes one seeded release from the graph file and
@@ -280,29 +318,4 @@ func fleetRegister(coordURL, replicaURL string) error {
 		return fmt.Errorf("replica registered but not healthy: %s", strings.TrimSpace(string(data)))
 	}
 	return nil
-}
-
-// fleetBench shells out to bench-serve against the coordinator and
-// parses the aggregate requests/s from its report.
-func fleetBench(exe, coordURL string, requests, workers int, timeout time.Duration) (qps float64, output string, err error) {
-	cmd := exec.Command(exe, "bench-serve",
-		"-url", coordURL,
-		"-release", "bench",
-		"-n", fmt.Sprint(requests),
-		"-c", fmt.Sprint(workers),
-		"-timeout", timeout.String(),
-	)
-	outBytes, err := cmd.CombinedOutput()
-	output = string(outBytes)
-	if err != nil {
-		return 0, output, err
-	}
-	for _, line := range strings.Split(output, "\n") {
-		if strings.HasPrefix(line, "throughput: ") {
-			if _, err := fmt.Sscanf(line, "throughput: %f requests/s", &qps); err == nil {
-				return qps, output, nil
-			}
-		}
-	}
-	return 0, output, fmt.Errorf("no throughput line in bench output")
 }

@@ -8,39 +8,41 @@ import (
 	"testing"
 )
 
-// The 0-alloc perf guards (#2 block sampling, #7 HL/PHAST kernels,
-// #8 zero-allocation serving) and the //dpvet:hotpath static guard must
-// name the same set of functions: a function benched to 0 allocs/op but
-// not annotated can regress between bench runs, and an annotation with no
-// bench behind it overstates the guarantee. This test greps both sides.
+// The allocation guards (TestFillLaplaceZeroAlloc, TestIndexQueryZeroAlloc,
+// TestServeDistanceZeroAlloc, TestServeDistancesZeroAlloc) and the
+// //dpvet:hotpath static guard must name the same set of functions: a
+// function held to 0 allocs/op but not annotated can regress between
+// guard runs, and an annotation with no guard behind it overstates the
+// guarantee. This test reads both sides.
 
 // guardedFunctions maps each annotated source file to the functions the
-// perf guards hold allocation-free. Adding a hot function to a guard
-// means adding it here AND annotating it; dropping one means the reverse.
+// allocation guards hold allocation-free. Adding a hot function to a
+// guard means adding it here AND annotating it; dropping one means the
+// reverse.
 var guardedFunctions = map[string][]string{
 	"internal/dp/noise.go": {
-		// guard #2: BenchmarkFillLaplace/(crypto-serial|seeded)
+		// TestFillLaplaceZeroAlloc: crypto-serial and seeded block fills
 		"laplaceFromRand", "uniform", "laplace", "FillLaplace", "fillSerial",
 	},
 	"internal/graph/index/ch.go": {
-		// guard #7: BenchmarkIndexDistance/ch
+		// TestIndexQueryZeroAlloc: CH point queries
 		"Distance",
 	},
 	"internal/graph/index/hl.go": {
-		// guard #7: BenchmarkIndexDistance/hl + hl sweep delegation
+		// TestIndexQueryZeroAlloc: hub-label point queries + sweep delegation
 		"Distance", "DistancesFrom",
 	},
 	"internal/graph/index/phast.go": {
-		// guard #7: BenchmarkIndexOneToMany/phast
+		// TestIndexQueryZeroAlloc: PHAST sweeps
 		"DistancesFrom",
 	},
 	"internal/graph/index/search.go": {
-		// guard #7: the searchState kernel under both CH and PHAST
+		// TestIndexQueryZeroAlloc: the searchState kernel under CH and PHAST
 		"begin", "labeled", "distance", "touch", "update",
 		"empty", "minKey", "pop", "siftUp", "siftDown",
 	},
 	"internal/serve/fastjson.go": {
-		// guard #8: TestServeDistanceZeroAlloc / TestServeDistancesZeroAlloc
+		// TestServeDistanceZeroAlloc / TestServeDistancesZeroAlloc
 		"appendJSONFloat", "appendPairAnswer", "scanQueryPair",
 		"isJSONSpace", "skipJSONSpace", "parseJSONInt", "parseATOI",
 		"parsePointBodyFast", "parsePairsFast", "parseTuplePairsFast",
@@ -49,13 +51,13 @@ var guardedFunctions = map[string][]string{
 	},
 }
 
-// guardMarkers are the bench/test names the guard script must still run;
-// if one is renamed the mapping above needs re-auditing.
-var guardMarkers = []string{
-	"BenchmarkFillLaplace/(crypto-serial|seeded)",
-	"BenchmarkIndexDistance",
-	"BenchmarkIndexOneToMany",
-	"TestServeDistanceZeroAlloc|TestServeDistancesZeroAlloc",
+// guardTests are the allocation guards the mapping above relies on, by
+// the test file that holds them; if one is renamed or moved the mapping
+// needs re-auditing.
+var guardTests = map[string][]string{
+	"guard_alloc_test.go":                      {"TestFillLaplaceZeroAlloc"},
+	"internal/graph/index/guard_alloc_test.go": {"TestIndexQueryZeroAlloc"},
+	"internal/serve/alloc_test.go":             {"TestServeDistanceZeroAlloc", "TestServeDistancesZeroAlloc"},
 }
 
 var annotatedFuncRE = regexp.MustCompile(`(?m)^//dpvet:hotpath\nfunc (?:\([^)]*\) )?(\w+)\(`)
@@ -63,13 +65,16 @@ var annotatedFuncRE = regexp.MustCompile(`(?m)^//dpvet:hotpath\nfunc (?:\([^)]*\
 func TestHotpathAnnotationsMatchPerfGuards(t *testing.T) {
 	root := filepath.Join("..", "..")
 
-	script, err := os.ReadFile(filepath.Join(root, "scripts", "check_perf_guards.sh"))
-	if err != nil {
-		t.Fatalf("reading perf guard script: %v", err)
-	}
-	for _, marker := range guardMarkers {
-		if !strings.Contains(string(script), marker) {
-			t.Errorf("perf guard script no longer runs %q; re-audit the hotpath annotation mapping", marker)
+	for file, tests := range guardTests {
+		src, err := os.ReadFile(filepath.Join(root, file))
+		if err != nil {
+			t.Errorf("reading allocation guard %s: %v", file, err)
+			continue
+		}
+		for _, name := range tests {
+			if !strings.Contains(string(src), "\nfunc "+name+"(t *testing.T) {") {
+				t.Errorf("%s no longer defines %s; re-audit the hotpath annotation mapping", file, name)
+			}
 		}
 	}
 

@@ -441,6 +441,29 @@ func TestClusterFallback(t *testing.T) {
 		t.Errorf("X-Served-By = %q, want local-fallback", got)
 	}
 
+	// The fallback answers through the replicas' own handlers: compact
+	// JSON, and the same strict body parsing.
+	for _, tc := range []struct {
+		body   string
+		status int
+	}{
+		{`{"s":0,"t":15}`, http.StatusOK},
+		{`{"s":0,"t":15,"x":1}`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/releases/main/distance", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("fallback POST %s: status %d, want %d: %s", tc.body, resp.StatusCode, tc.status, data)
+		}
+		if tc.status == http.StatusOK && string(data) != fmt.Sprintf(`{"s":0,"t":15,"value":%v}`, want) {
+			t.Errorf("fallback POST %s answered %s, want the compact replica encoding", tc.body, data)
+		}
+	}
+
 	resp, err := http.Post(ts.URL+"/v1/releases/main/distances", "application/json",
 		strings.NewReader(`[[0,15],[2,9]]`))
 	if err != nil {

@@ -45,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -54,6 +55,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // Config tunes the coordinator. The zero value is usable with defaults
@@ -148,7 +151,12 @@ type Coordinator struct {
 	replicas map[string]*replica
 	ring     *ring
 
-	fallback map[string]*fallbackRelease
+	// fallback serves the releases restored from SnapshotDir, through
+	// the replicas' own handlers, when every replica holding one is out;
+	// nil without a SnapshotDir.
+	fallback        *serve.Server
+	fallbackHandler http.Handler
+	fallbacks       int // releases the fallback holds
 
 	// rr rotates requests across a release's healthy working set.
 	rr atomic.Uint64
@@ -224,7 +232,6 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:       cfg,
 		client:    &http.Client{Transport: transport},
 		replicas:  make(map[string]*replica),
-		fallback:  make(map[string]*fallbackRelease),
 		started:   time.Now(),
 		stopc:     make(chan struct{}),
 		jitterRNG: rand.New(rand.NewSource(time.Now().UnixNano())),
@@ -236,10 +243,18 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 	}
 	if cfg.SnapshotDir != "" {
-		n, err := c.loadFallback(cfg.SnapshotDir)
+		// Restores spend no budget, so the directory alone bounds how
+		// many releases the fallback holds.
+		c.fallback = serve.New(nil, nil, serve.Config{
+			MaxBodyBytes: cfg.MaxBodyBytes,
+			MaxReleases:  math.MaxInt,
+			VerifyKey:    cfg.VerifyKey,
+		})
+		n, err := c.fallback.RestoreDir(cfg.SnapshotDir)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("loading fallback: %w", err)
 		}
+		c.fallbackHandler, c.fallbacks = c.fallback.Handler(), n
 		c.logf("cluster: loaded %d fallback release(s) from %s", n, cfg.SnapshotDir)
 	}
 	return c, nil

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,11 +10,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
-
-	"repro/dpgraph"
-	"repro/internal/serve"
 )
 
 // Handler returns the coordinator's HTTP routing table. Query traffic
@@ -29,7 +26,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /livez", c.handleLivez)
 	mux.HandleFunc("GET /readyz", c.handleReadyz)
-	mux.HandleFunc("GET /healthz", c.handleReadyz)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	mux.HandleFunc("GET /v1/replicas", c.handleReplicaList)
 	mux.HandleFunc("POST /v1/replicas", c.handleReplicaRegister)
@@ -85,13 +81,13 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		Replicas  int    `json:"replicas"`
 		Healthy   int    `json:"healthy"`
 		Fallbacks int    `json:"fallback_releases"`
-	}{Status: "ready", Replicas: len(reps), Healthy: healthy, Fallbacks: len(c.fallback)}
+	}{Status: "ready", Replicas: len(reps), Healthy: healthy, Fallbacks: c.fallbacks}
 	status := http.StatusOK
 	switch {
 	case c.draining.Load():
 		resp.Status = "draining"
 		status = http.StatusServiceUnavailable
-	case healthy == 0 && len(c.fallback) == 0:
+	case healthy == 0 && c.fallbacks == 0:
 		resp.Status = "no routable replicas"
 		status = http.StatusServiceUnavailable
 	}
@@ -409,17 +405,19 @@ func requestPathQuery(r *http.Request) string {
 }
 
 // answerFallbackOrError is the graceful-degradation tail of a failed
-// route: answer from the local snapshot fallback when one holds the
-// release, otherwise map the routing failure onto a client status.
+// route: answer from the local snapshot fallback when it holds the
+// release, replaying the buffered body through the same handlers the
+// replicas run, otherwise map the routing failure onto a client status.
 func (c *Coordinator) answerFallbackOrError(w http.ResponseWriter, r *http.Request, release string, routeErr error, body []byte) {
-	if fb, ok := c.fallbackFor(release); ok {
-		if c.serveFallback(w, r, release, fb, body) {
-			c.metrics.fallbackServed.Add(1)
-			return
-		}
-		return // serveFallback wrote its own error
+	if c.fallback == nil || !c.fallback.Has(release) {
+		c.writeRouteError(w, routeErr)
+		return
 	}
-	c.writeRouteError(w, routeErr)
+	c.metrics.fallbackServed.Add(1)
+	w.Header().Set("X-Served-By", "local-fallback")
+	r = r.Clone(r.Context())
+	r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+	c.fallbackHandler.ServeHTTP(w, r)
 }
 
 // writeRouteError maps a routing failure onto a status: 504 when the
@@ -438,87 +436,4 @@ func (c *Coordinator) writeRouteError(w http.ResponseWriter, err error) {
 		c.metrics.unavailable.Add(1)
 		writeError(w, http.StatusBadGateway, "all replica attempts failed: %v", err)
 	}
-}
-
-// serveFallback answers a point or batch distance query from the local
-// snapshot oracle, in the same wire shapes the replicas use. Reports
-// whether a (possibly error) response was written as a served answer.
-func (c *Coordinator) serveFallback(w http.ResponseWriter, r *http.Request, release string, fb *fallbackRelease, body []byte) bool {
-	w.Header().Set("X-Served-By", "local-fallback")
-	switch {
-	case strings.HasSuffix(r.URL.Path, "/distance"):
-		s, t, err := fallbackPointPair(r, body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return true
-		}
-		v, err := fb.oracle.Distance(s, t)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return true
-		}
-		writeJSON(w, http.StatusOK, serve.PairAnswer{S: s, T: t, Value: v})
-		return true
-	case strings.HasSuffix(r.URL.Path, "/distances"):
-		pairs, err := serve.ParsePairs(body)
-		if err == nil && len(pairs) == 0 {
-			err = serve.ErrNoPairs
-		}
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return true
-		}
-		vals, err := fb.oracle.Distances(pairs)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return true
-		}
-		results := make([]serve.PairAnswer, len(pairs))
-		for i, p := range pairs {
-			results[i] = serve.PairAnswer{S: p.S, T: p.T, Value: vals[i]}
-		}
-		writeJSON(w, http.StatusOK, struct {
-			Mechanism string             `json:"mechanism"`
-			Count     int                `json:"count"`
-			Bound     *float64           `json:"bound"`
-			Gamma     float64            `json:"gamma"`
-			Receipt   dpgraph.Receipt    `json:"receipt"`
-			Results   []serve.PairAnswer `json:"results"`
-		}{
-			Mechanism: fb.info.Mechanism,
-			Count:     len(pairs),
-			Bound:     serve.FiniteOrNil(fb.bound),
-			Gamma:     dpgraph.DefaultGamma,
-			Receipt:   fb.info.Receipt,
-			Results:   results,
-		})
-		return true
-	default:
-		return false
-	}
-}
-
-// fallbackPointPair extracts the s-t pair of a point query from the
-// URL (GET) or the buffered body (POST).
-func fallbackPointPair(r *http.Request, body []byte) (s, t int, err error) {
-	if r.Method == http.MethodGet {
-		q := r.URL.Query()
-		s, err1 := strconv.Atoi(q.Get("s"))
-		t, err2 := strconv.Atoi(q.Get("t"))
-		if err1 != nil || err2 != nil {
-			return 0, 0, fmt.Errorf("want integer query parameters s and t, got s=%q t=%q", q.Get("s"), q.Get("t"))
-		}
-		return s, t, nil
-	}
-	var p struct {
-		S *int `json:"s"`
-		T *int `json:"t"`
-	}
-	if err := json.Unmarshal(body, &p); err != nil {
-		return 0, 0, fmt.Errorf("bad pair body: %w", err)
-	}
-	if p.S == nil || p.T == nil {
-		return 0, 0, fmt.Errorf(`bad pair body: want both "s" and "t"`)
-	}
-	return *p.S, *p.T, nil
 }

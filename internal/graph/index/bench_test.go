@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/perfguard"
 )
 
 // benchGraph is the ≥100k-edge grid the serving benchmarks run on
 // (2 * 225 * 224 = 100,800 edges).
-func benchGraph(b *testing.B) (*graph.Graph, []float64) {
-	b.Helper()
+func benchGraph(tb testing.TB) (*graph.Graph, []float64) {
+	tb.Helper()
 	g := graph.Grid(225)
 	rng := rand.New(rand.NewSource(1))
 	return g, graph.UniformRandomWeights(g, 0.5, 2.5, rng)
@@ -30,6 +31,18 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
+// distanceOp warms idx's workspace pool and returns one point query
+// per call, walking a fixed scrambled pair sequence.
+func distanceOp(idx Index) func() {
+	n := idx.N()
+	idx.Distance(0, n-1)
+	i := 0
+	return func() {
+		idx.Distance((i*7919)%n, (i*104729+1)%n)
+		i++
+	}
+}
+
 func BenchmarkIndexDistance(b *testing.B) {
 	g, w := benchGraph(b)
 	n := g.N()
@@ -46,52 +59,50 @@ func BenchmarkIndexDistance(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(m.String(), func(b *testing.B) {
-			idx.Distance(0, n-1) // warm the workspace pool
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				idx.Distance((i*7919)%n, (i*104729+1)%n)
-			}
-		})
+		b.Run(m.String(), func(b *testing.B) { perfguard.Bench(b, distanceOp(idx)) })
 	}
 }
 
-// BenchmarkIndexOneToMany compares a repeated-source batch answered by
-// per-pair CH queries against one PHAST one-to-all sweep gathering the
-// same targets. scripts/check_perf_guards.sh gate #7 asserts the sweep
-// is >= 3x faster per pair and allocation-free in steady state.
-func BenchmarkIndexOneToMany(b *testing.B) {
-	g, w := benchGraph(b)
-	n := g.N()
-	idx, err := Build(g, w, Options{Mode: CH})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sweeper := idx.(OneToAll)
+// oneToManyOps returns a 512-target repeated-source batch answered two
+// ways, one batch per call: per-pair point queries, and one PHAST
+// one-to-all sweep gathering the same targets. Both warm their
+// workspace pools first.
+func oneToManyOps(ch OneToAll) (perPair, phast func()) {
+	n := ch.N()
 	const fanout = 512
 	targets := make([]int, fanout)
 	for i := range targets {
 		targets[i] = (i*7919 + 13) % n
 	}
 	out := make([]float64, fanout)
-	b.Run("ch-perpair", func(b *testing.B) {
-		idx.Distance(0, n-1) // warm the workspace pool
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s := (i * 104729) % n
-			for j, t := range targets {
-				out[j] = idx.Distance(s, t)
-			}
+	ch.Distance(0, n-1)
+	ch.DistancesFrom(0, targets, out)
+	var i, j int
+	perPair = func() {
+		s := (i * 104729) % n
+		for k, t := range targets {
+			out[k] = ch.Distance(s, t)
 		}
-	})
-	b.Run("phast", func(b *testing.B) {
-		sweeper.DistancesFrom(0, targets, out) // warm the sweep pool
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sweeper.DistancesFrom((i*104729)%n, targets, out)
-		}
-	})
+		i++
+	}
+	phast = func() {
+		ch.DistancesFrom((j*104729)%n, targets, out)
+		j++
+	}
+	return perPair, phast
+}
+
+// BenchmarkIndexOneToMany compares a repeated-source batch answered by
+// per-pair CH queries against one PHAST one-to-all sweep gathering the
+// same targets. TestHubLabelAndPHASTSpeedup asserts the sweep is >= 3x
+// faster per batch; TestIndexQueryZeroAlloc holds it allocation-free.
+func BenchmarkIndexOneToMany(b *testing.B) {
+	g, w := benchGraph(b)
+	idx, err := Build(g, w, Options{Mode: CH})
+	if err != nil {
+		b.Fatal(err)
+	}
+	perPair, phast := oneToManyOps(idx.(OneToAll))
+	b.Run("ch-perpair", func(b *testing.B) { perfguard.Bench(b, perPair) })
+	b.Run("phast", func(b *testing.B) { perfguard.Bench(b, phast) })
 }

@@ -10,13 +10,14 @@ import (
 	"time"
 
 	"repro/dpgraph"
+	"repro/internal/perfguard"
 )
 
 // benchServer materializes one seeded release over a Grid(side) and
 // returns the handler plus the direct oracle for the overhead
 // comparison.
-func benchServer(b *testing.B, side int, index string) (http.Handler, dpgraph.DistanceOracle, int) {
-	b.Helper()
+func benchServer(tb testing.TB, side int, index string) (http.Handler, dpgraph.DistanceOracle, int) {
+	tb.Helper()
 	g := dpgraph.Grid(side)
 	w := make([]float64, g.M())
 	for i := range w {
@@ -25,12 +26,12 @@ func benchServer(b *testing.B, side int, index string) (http.Handler, dpgraph.Di
 	spec := dpgraph.ReleaseSpec{Mechanism: "release", Seed: 42, Index: index}
 	oracle, _, err := spec.Materialize(g, dpgraph.PrivateWeights(w))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	s := New(g, w, Config{})
 	rel, err := s.reg.reserve("bench", spec, 0, 0)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	// Serve the exact oracle being measured directly, so the two
 	// sub-benchmarks differ only by the HTTP layer.
@@ -39,44 +40,49 @@ func benchServer(b *testing.B, side int, index string) (http.Handler, dpgraph.Di
 	return s.Handler(), oracle, g.N()
 }
 
+// pointOps returns the same point query answered two ways, one per
+// call, cycling over 64 fixed pairs on a Grid(60) release (3,600
+// vertices: a query costs enough to dominate transport): the oracle
+// called directly, and the full HTTP handler (request parse, admission,
+// JSON response) in front of it.
+func pointOps(tb testing.TB, index string) (direct, served func()) {
+	handler, oracle, n := benchServer(tb, 60, index)
+	pairs := make([][2]int, 64)
+	for i := range pairs {
+		pairs[i] = [2]int{(i * 131) % n, (i*257 + n/2) % n}
+	}
+	var i, j int
+	direct = func() {
+		p := pairs[i%len(pairs)]
+		i++
+		if _, err := oracle.Distance(p[0], p[1]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	served = func() {
+		p := pairs[j%len(pairs)]
+		j++
+		req := httptest.NewRequest("GET", fmt.Sprintf("/v1/releases/bench/distance?s=%d&t=%d", p[0], p[1]), nil)
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			tb.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	return direct, served
+}
+
 // BenchmarkServeDistance compares a point distance query answered
-// through the HTTP handler (request parse + admission + JSON response)
-// against the same oracle called directly, once per index mode so the
-// benchmark report distinguishes unindexed, CH, and hub-label serving.
-// The direct/http gap on the unindexed oracle is the serving overhead
-// scripts/check_perf_guards.sh gate #5 bounds.
+// through the HTTP handler against the same oracle called directly,
+// once per index mode so unindexed, CH, and hub-label serving are told
+// apart. TestServeOverhead bounds the direct/http gap on the unindexed
+// oracle.
 func BenchmarkServeDistance(b *testing.B) {
-	const side = 60 // 3,600 vertices: a query costs enough to dominate transport
 	for _, mode := range []string{"off", "ch", "hl"} {
 		b.Run(mode, func(b *testing.B) {
-			handler, oracle, n := benchServer(b, side, mode)
-
-			pairs := make([][2]int, 64)
-			for i := range pairs {
-				pairs[i] = [2]int{(i * 131) % n, (i*257 + n/2) % n}
-			}
-
-			b.Run("direct", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					p := pairs[i%len(pairs)]
-					if _, err := oracle.Distance(p[0], p[1]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run("http", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					p := pairs[i%len(pairs)]
-					req := httptest.NewRequest("GET", fmt.Sprintf("/v1/releases/bench/distance?s=%d&t=%d", p[0], p[1]), nil)
-					rec := httptest.NewRecorder()
-					handler.ServeHTTP(rec, req)
-					if rec.Code != http.StatusOK {
-						b.Fatalf("status %d: %s", rec.Code, rec.Body)
-					}
-				}
-			})
+			direct, served := pointOps(b, mode)
+			b.Run("direct", func(b *testing.B) { perfguard.Bench(b, direct) })
+			b.Run("http", func(b *testing.B) { perfguard.Bench(b, served) })
 		})
 	}
 }
@@ -85,8 +91,7 @@ func BenchmarkServeDistance(b *testing.B) {
 // queries against a CH-indexed release with the sweep coalescer off and
 // on. The parallelism is forced well past GOMAXPROCS so the coalescer
 // has waiters to merge even on a single-core runner; the "pairs/batch"
-// and "shared-frac" metrics report how much sharing it achieved, which
-// scripts/bench_snapshot.sh records alongside the ns/op.
+// and "shared-frac" metrics report how much sharing it achieved.
 func BenchmarkServeDistanceCoalesced(b *testing.B) {
 	const side = 60
 	g := dpgraph.Grid(side)

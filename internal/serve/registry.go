@@ -174,22 +174,8 @@ type registry struct {
 // (mapped to 429 by handleCreate, unlike a name conflict's 409).
 var errTooManyReleases = errors.New("registry is full")
 
-// reserve registers a materializing placeholder under name, failing
-// when the name is taken or the registry holds maxReleases entries
-// already (each entry retains an oracle and spent budget forever, so
-// the cap bounds both memory and cumulative privacy loss).
-func (r *registry) reserve(name string, spec dpgraph.ReleaseSpec, maxInflight, maxReleases int) (*release, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.m == nil {
-		r.m = make(map[string]*release)
-	}
-	if _, ok := r.m[name]; ok {
-		return nil, fmt.Errorf("release %q already exists", name)
-	}
-	if maxReleases > 0 && len(r.m) >= maxReleases {
-		return nil, fmt.Errorf("%w: %d releases held (cap %d); DELETE unused releases to free slots (spent budget is not refunded)", errTooManyReleases, len(r.m), maxReleases)
-	}
+// newRelease returns an unregistered, not-yet-ready release.
+func newRelease(name string, spec dpgraph.ReleaseSpec, maxInflight int) *release {
 	rel := &release{
 		name:    name,
 		spec:    spec,
@@ -199,7 +185,37 @@ func (r *registry) reserve(name string, spec dpgraph.ReleaseSpec, maxInflight, m
 	if maxInflight > 0 {
 		rel.inflight = make(chan struct{}, maxInflight)
 	}
-	r.m[name] = rel
+	return rel
+}
+
+// insert registers rel under its name, failing when the name is taken
+// or the registry holds maxReleases entries already (each entry retains
+// an oracle and spent budget forever, so the cap bounds both memory and
+// cumulative privacy loss).
+func (r *registry) insert(rel *release, maxReleases int) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.m == nil {
+		r.m = make(map[string]*release)
+	}
+	if _, ok := r.m[rel.name]; ok {
+		return fmt.Errorf("release %q already exists", rel.name)
+	}
+	if maxReleases > 0 && len(r.m) >= maxReleases {
+		return fmt.Errorf("%w: %d releases held (cap %d); DELETE unused releases to free slots (spent budget is not refunded)", errTooManyReleases, len(r.m), maxReleases)
+	}
+	r.m[rel.name] = rel
+	return nil
+}
+
+// reserve registers a materializing placeholder under name, so a
+// concurrent create of the same name conflicts instead of spending
+// budget twice.
+func (r *registry) reserve(name string, spec dpgraph.ReleaseSpec, maxInflight, maxReleases int) (*release, error) {
+	rel := newRelease(name, spec, maxInflight)
+	if err := r.insert(rel, maxReleases); err != nil {
+		return nil, err
+	}
 	return rel, nil
 }
 

@@ -19,7 +19,6 @@
 //	POST   /v1/releases/{name}:import      register a release from an uploaded snapshot (zero budget)
 //	GET    /livez                          liveness: the process is up
 //	GET    /readyz                         readiness: all releases materialized and not draining
-//	GET    /healthz                        legacy liveness alias (always ok while the process runs)
 //	GET    /metrics                        query/cache/latency counters per release
 //
 // Every error is a JSON envelope {"error": "..."}; unreachable pairs
@@ -138,7 +137,6 @@ func New(topology *dpgraph.Graph, private []float64, cfg Config) *Server {
 // closes moments later.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /livez", s.handleLivez)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -160,7 +158,7 @@ func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			switch r.URL.Path {
-			case "/healthz", "/livez", "/readyz", "/metrics":
+			case "/livez", "/readyz", "/metrics":
 				// Probes keep answering so load balancers and operators
 				// can watch the drain progress.
 			default:
@@ -316,7 +314,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, s.summarize(rel))
 }
 
-// publish makes a reserved release servable: it wires the
+// publish makes a new release servable: it wires the
 // allocation-free batch entry, decides coalescing, and closes ready.
 // The single publication path for created, imported, and boot-restored
 // releases.
@@ -565,13 +563,6 @@ func (s *Server) handleDistances(w http.ResponseWriter, r *http.Request) {
 	w.Write(buf) //nolint:errcheck // the response is already committed
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
-		Status   string `json:"status"`
-		Releases int    `json:"releases"`
-	}{Status: "ok", Releases: len(s.reg.list())})
-}
-
 // handleLivez is pure process liveness: it answers ok as long as the
 // process can serve HTTP at all, draining or not. Orchestrators restart
 // on livez failures, so it must never flip during a graceful shutdown.
@@ -635,6 +626,12 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 
 // Draining reports whether StartDrain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
+
+// Has reports whether a release is registered under name.
+func (s *Server) Has(name string) bool {
+	_, ok := s.reg.lookup(name)
+	return ok
+}
 
 // metricsTotals sums the countable columns across releases; latency
 // quantiles do not sum and stay per-release.

@@ -156,9 +156,9 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// Health and metrics.
-	status, data = get(t, ts.URL+"/healthz")
-	if status != http.StatusOK || !strings.Contains(string(data), `"ok"`) {
-		t.Errorf("healthz: status %d: %s", status, data)
+	status, data = get(t, ts.URL+"/livez")
+	if status != http.StatusOK || !strings.Contains(string(data), `"alive"`) {
+		t.Errorf("livez: status %d: %s", status, data)
 	}
 	status, data = get(t, ts.URL+"/metrics")
 	if status != http.StatusOK {
@@ -185,7 +185,7 @@ func TestServeEndToEnd(t *testing.T) {
 
 	// Graceful shutdown: close the server, in-flight work already done.
 	ts.Close()
-	if _, err := http.Get(ts.URL + "/healthz"); err == nil {
+	if _, err := http.Get(ts.URL + "/livez"); err == nil {
 		t.Error("server still answering after shutdown")
 	}
 }

@@ -150,21 +150,21 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, s.summarize(rel))
 }
 
-// publishSealed registers an unsealed release in the registry, ready
-// immediately: there is no materialization phase to wait out.
+// publishSealed registers an unsealed release in the registry. There
+// is no materialization phase, so the release is published before it
+// is inserted: no query ever sees it still materializing.
 func (s *Server) publishSealed(name string, sealed *dpgraph.Sealed) (*release, error) {
 	info := sealed.Info()
-	spec := dpgraph.ReleaseSpec{
+	rel := newRelease(name, dpgraph.ReleaseSpec{
 		Mechanism: info.Mechanism,
 		Epsilon:   info.Epsilon,
 		Delta:     info.Delta,
 		Index:     sealed.IndexKind(),
-	}
-	rel, err := s.reg.reserve(name, spec, s.cfg.MaxInflight, s.cfg.MaxReleases)
-	if err != nil {
+	}, s.cfg.MaxInflight)
+	s.publish(rel, sealed.Oracle(), sealed, nil)
+	if err := s.reg.insert(rel, s.cfg.MaxReleases); err != nil {
 		return nil, err
 	}
-	s.publish(rel, sealed.Oracle(), sealed, nil)
 	return rel, nil
 }
 
